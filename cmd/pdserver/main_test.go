@@ -249,6 +249,25 @@ func TestIngestHandler(t *testing.T) {
 		t.Fatalf("rows = %d, want 1003", p.Rows)
 	}
 
+	// Unflushed rows are queried through frozen runs, which /statz counts.
+	rec = httptest.NewRecorder()
+	ingestHandler(store).ServeHTTP(rec, httptest.NewRequest("POST", "/ingest", strings.NewReader(body)))
+	if rec.Code != 200 {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if _, err := store.Query(`SELECT COUNT(*) AS c FROM data;`); err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	statzHandler(store).ServeHTTP(rec, httptest.NewRequest("GET", "/statz", nil))
+	p = statzPayload{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.Ingest == nil || p.Ingest.MemRows != 3 || p.Ingest.MemUnits != 1 || p.Ingest.FreezeRows != 3 {
+		t.Fatalf("ingest section after an unflushed append = %+v", p.Ingest)
+	}
+
 	// Schema violations surface as 422, not 500.
 	rec = httptest.NewRecorder()
 	ingestHandler(store).ServeHTTP(rec, httptest.NewRequest("POST", "/ingest",

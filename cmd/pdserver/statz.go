@@ -56,7 +56,9 @@ type ingestSection struct {
 	MemRows           int   `json:"mem_rows"`
 	SealingRows       int64 `json:"sealing_rows"`
 	MemBytes          int64 `json:"mem_bytes"`
+	MemUnits          int   `json:"mem_units"`
 	RowsAppended      int64 `json:"rows_appended"`
+	FreezeRows        int64 `json:"freeze_rows"`
 	Seals             int64 `json:"seals"`
 	Compactions       int64 `json:"compactions"`
 	SegmentsCompacted int64 `json:"segments_compacted"`
@@ -320,7 +322,9 @@ func statzHandler(store *powerdrill.Store) http.Handler {
 				MemRows:           is.MemRows,
 				SealingRows:       is.SealingRows,
 				MemBytes:          is.MemBytes,
+				MemUnits:          is.MemUnits,
 				RowsAppended:      is.RowsAppended,
+				FreezeRows:        is.FreezeRows,
 				Seals:             is.Seals,
 				Compactions:       is.Compactions,
 				SegmentsCompacted: is.SegmentsCompacted,

@@ -20,8 +20,9 @@ import (
 // latEstimate is an exponentially weighted moving average of a shard's
 // successful sub-query latency.
 type latEstimate struct {
-	mu   sync.Mutex
-	ewma float64 // nanoseconds; 0 = no observation yet
+	mu      sync.Mutex
+	ewma    float64 // nanoseconds; 0 = no observation yet
+	samples int
 }
 
 // ewmaAlpha weighs new observations: high enough to track cache warm-up,
@@ -31,6 +32,7 @@ const ewmaAlpha = 0.3
 func (l *latEstimate) observe(d time.Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.samples++
 	if l.ewma == 0 {
 		l.ewma = float64(d)
 		return
@@ -39,9 +41,15 @@ func (l *latEstimate) observe(d time.Duration) {
 }
 
 func (l *latEstimate) value() time.Duration {
+	d, _ := l.snapshot()
+	return d
+}
+
+// snapshot returns the estimate with the number of observations behind it.
+func (l *latEstimate) snapshot() (time.Duration, int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return time.Duration(l.ewma)
+	return time.Duration(l.ewma), l.samples
 }
 
 // hedgeDelay computes how long to wait for the primary before asking the

@@ -94,6 +94,12 @@ func (c *Cluster) Placement() []PlacementEntry {
 	return out
 }
 
+// minHotSamples is how many completed attempts a replica's latency EWMA
+// must rest on before Rebalance may judge the replica hot. A fresh
+// replica's first few attempts pay cold-start costs (cache misses, first
+// materializations); judged on those it would bounce straight back.
+const minHotSamples = 5
+
 // RebalanceOptions tunes one rebalancing pass.
 type RebalanceOptions struct {
 	// MaxMoves caps replica relocations per pass (default 1: move the
@@ -121,11 +127,11 @@ type Move struct {
 }
 
 // Rebalance runs one placement pass: find straggling replicas (breaker
-// open, or latency EWMA > HotFactor × cluster median), and rebuild the
-// worst of them on the least-loaded registered server that does not
-// already host the shard. The superseded leaf is left to drain — in-flight
-// sub-queries may still complete on it — and simply stops receiving
-// dispatches. Returns the moves made; the error reports factory failures
+// open, or latency EWMA > HotFactor × cluster median over at least
+// minHotSamples attempts), and rebuild the worst of them on the
+// least-loaded registered server that does not already host the shard.
+// The superseded leaf is left to drain — in-flight sub-queries may still
+// complete on it — and simply stops receiving dispatches. Returns the moves made; the error reports factory failures
 // (moves already made still count).
 func (c *Cluster) Rebalance(opts RebalanceOptions) ([]Move, error) {
 	if opts.MaxMoves <= 0 {
@@ -138,11 +144,12 @@ func (c *Cluster) Rebalance(opts RebalanceOptions) ([]Move, error) {
 	// Snapshot the fleet: per-replica EWMAs, breaker states, and which
 	// servers host which shards.
 	type replicaInfo struct {
-		si, r  int
-		ls     *leafState
-		ewma   time.Duration
-		open   bool // breaker open
-		server string
+		si, r   int
+		ls      *leafState
+		ewma    time.Duration
+		samples int
+		open    bool // breaker open
+		server  string
 	}
 	var fleet []replicaInfo
 	hosting := map[string]map[int]bool{} // server → shards hosted
@@ -150,7 +157,8 @@ func (c *Cluster) Rebalance(opts RebalanceOptions) ([]Move, error) {
 	var ewmas []time.Duration
 	for si, s := range c.shards {
 		for r, ls := range s.replicaList() {
-			info := replicaInfo{si: si, r: r, ls: ls, ewma: ls.latency(), server: ls.serverName()}
+			info := replicaInfo{si: si, r: r, ls: ls, server: ls.serverName()}
+			info.ewma, info.samples = ls.lat.snapshot()
 			if ls.br != nil {
 				state, _, _ := ls.br.snapshot()
 				info.open = state == "open"
@@ -175,7 +183,9 @@ func (c *Cluster) Rebalance(opts RebalanceOptions) ([]Move, error) {
 	// Stragglers, worst first (breaker-open ahead of merely hot).
 	var cands []replicaInfo
 	for _, info := range fleet {
-		if info.open || (median > 0 && info.ewma > time.Duration(opts.HotFactor*float64(median))) {
+		hot := median > 0 && info.samples >= minHotSamples &&
+			info.ewma > time.Duration(opts.HotFactor*float64(median))
+		if info.open || hot {
 			cands = append(cands, info)
 		}
 	}

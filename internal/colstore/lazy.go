@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -1110,11 +1111,19 @@ func (p *PinSet) ColumnChunks(name string, active []bool) (*Column, error) {
 	return h.view, nil
 }
 
-// Release drops every pin the set holds. Safe to call more than once.
+// Release drops every pin the set holds, in sorted column order: release
+// order is the order entries enter the manager's unpinned tier, so map
+// order would make later evictions (and cold-load counts) vary run to run.
+// Safe to call more than once.
 func (p *PinSet) Release() {
 	if p.s.lazy != nil {
-		for _, h := range p.held {
-			for _, key := range h.keys {
+		names := make([]string, 0, len(p.held))
+		for name := range p.held {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			for _, key := range p.held[name].keys {
 				p.s.lazy.mgr.Release(key)
 			}
 		}

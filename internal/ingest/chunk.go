@@ -17,7 +17,8 @@ import (
 //
 // Lock order: Writer.mu may be held while taking mu (seal marks the chunk
 // sealed inside the writer's critical section); mu is never held while
-// taking Writer.mu.
+// taking Writer.mu. A freeze holds runsMu while it reads rows under mu;
+// Writer.mu is never held while taking runsMu.
 type writeChunk struct {
 	mu     sync.Mutex
 	cols   []wcCol
@@ -33,11 +34,11 @@ type writeChunk struct {
 	wal     *walFile
 	walSeqs []int
 
-	// frozen caches the latest frozen prefix view; snapshots taken at the
-	// same row count (the common case between appends) share one build.
-	frozenMu   sync.Mutex
-	frozenRows int
-	frozen     *frozenView
+	// runs are the buffer's frozen runs: immutable imports of consecutive
+	// row ranges, in row order, together covering rows [0, runs' end).
+	// Snapshots query them as units; see freezeAt for how they grow.
+	runsMu sync.Mutex
+	runs   []*frozenRun
 }
 
 // wcCol is one column of the write buffer.
@@ -47,14 +48,16 @@ type wcCol struct {
 	ids  []uint32
 }
 
-// frozenView is an immutable queryable build of a write-chunk prefix: a
+// frozenRun is an immutable queryable build of write-chunk rows
+// [start, end): an engine, sharing the writer's admission gate, over a
 // fully resident colstore constructed with the base store's import
-// options, plus an engine sharing the writer's admission gate.
-type frozenView struct {
-	rows  int
-	store *colstore.Store
-	eng   *exec.Engine
+// options.
+type frozenRun struct {
+	start, end int
+	eng        *exec.Engine
 }
+
+func (r *frozenRun) rows() int { return r.end - r.start }
 
 func newWriteChunk(schema []colstore.ColumnMeta) *writeChunk {
 	wc := &writeChunk{cols: make([]wcCol, len(schema))}
@@ -138,17 +141,17 @@ func (c *writeChunk) memoryBytes() int64 {
 	return total
 }
 
-// prefix captures an immutable view of the first n rows: the id slices
+// chunkRows captures an immutable view of rows [lo, hi): the id slices
 // and dictionary value slices are snapshotted by header under the lock.
-// Appends only ever grow them (prefix elements are never rewritten, and a
-// reallocating append leaves the old array behind untouched), so the
+// Appends only ever grow them (existing elements are never rewritten, and
+// a reallocating append leaves the old array behind untouched), so the
 // captured views stay valid and race-free after the lock is dropped.
-type chunkPrefix struct {
-	cols []prefixCol
+type chunkRows struct {
+	cols []rowsCol
 	rows int
 }
 
-type prefixCol struct {
+type rowsCol struct {
 	meta colstore.ColumnMeta
 	ids  []uint32
 	strs []string
@@ -156,13 +159,13 @@ type prefixCol struct {
 	flts []float64
 }
 
-func (c *writeChunk) prefix(n int) chunkPrefix {
+func (c *writeChunk) rowRange(lo, hi int) chunkRows {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p := chunkPrefix{rows: n, cols: make([]prefixCol, len(c.cols))}
+	p := chunkRows{rows: hi - lo, cols: make([]rowsCol, len(c.cols))}
 	for i := range c.cols {
 		wc := &c.cols[i]
-		pc := prefixCol{meta: wc.meta, ids: wc.ids[:n]}
+		pc := rowsCol{meta: wc.meta, ids: wc.ids[lo:hi]}
 		switch wc.meta.Kind {
 		case value.KindString:
 			pc.strs = wc.dict.Strings()
@@ -176,9 +179,9 @@ func (c *writeChunk) prefix(n int) chunkPrefix {
 	return p
 }
 
-// toTable decodes the prefix back into a raw table — the input the
-// ordinary import pipeline (colstore.FromTable) expects.
-func (p chunkPrefix) toTable(name string) *table.Table {
+// toTable decodes the rows back into a raw table — the input the ordinary
+// import pipeline (colstore.FromTable) expects.
+func (p chunkRows) toTable(name string) *table.Table {
 	tbl := table.New(name)
 	for _, pc := range p.cols {
 		switch pc.meta.Kind {
@@ -205,25 +208,81 @@ func (p chunkPrefix) toTable(name string) *table.Table {
 	return tbl
 }
 
-// freezeAt returns a queryable view of exactly the first n rows, building
-// it with the writer's import options so the view partitions, reorders
-// and dictionary-encodes identically to a sealed segment of the same
-// rows. Views are cached per row count: repeated snapshots between
-// appends share one build.
-func (c *writeChunk) freezeAt(n int, w *Writer) (*frozenView, error) {
+// freezeAt returns frozen runs covering exactly the first n rows, in row
+// order. Runs are built with the writer's import options, so each
+// partitions, reorders and dictionary-encodes its rows identically to a
+// sealed segment of the same rows.
+//
+// The cached runs grow the way Bentley–Saxe's logarithmic method grows a
+// static structure. A cut past the cached end makes the new rows a fresh
+// run, then merges the last two runs while the older is at most twice
+// the newer; the new rows and the runs they absorb are imported together
+// as one run. Afterwards every run is more than twice the size of its
+// successor, so the buffer never holds more than ⌈log2 n⌉+1 runs, each
+// row is re-imported O(log n) times over the buffer's life instead of
+// once per snapshot, and no single freeze imports more than the buffer.
+//
+// A cut below the cached end (an older cut that lost the race to a newer
+// freeze) reuses the runs that end at or below n and builds the run that
+// straddles n as a one-off, left out of the cache.
+func (c *writeChunk) freezeAt(n int, w *Writer) ([]*frozenRun, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	c.frozenMu.Lock()
-	defer c.frozenMu.Unlock()
-	if c.frozen != nil && c.frozenRows == n {
-		return c.frozen, nil
+	c.runsMu.Lock()
+	defer c.runsMu.Unlock()
+	end := 0
+	if k := len(c.runs); k > 0 {
+		end = c.runs[k-1].end
 	}
-	cs, err := colstore.FromTable(c.prefix(n).toTable("mem"), w.base.Opts)
+	if n < end {
+		var out []*frozenRun
+		for _, r := range c.runs {
+			if r.end <= n {
+				out = append(out, r)
+				continue
+			}
+			if r.start < n {
+				tail, err := c.freeze(r.start, n, w)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, tail)
+			}
+			break
+		}
+		return out, nil
+	}
+	if n > end {
+		// The merges depend only on run sizes, so settle which runs the
+		// new rows absorb first and import the result once.
+		lo, k := end, len(c.runs)
+		for k > 0 && c.runs[k-1].rows() <= 2*(n-lo) {
+			k--
+			lo = c.runs[k].start
+		}
+		r, err := c.freeze(lo, n, w)
+		if err != nil {
+			return nil, err
+		}
+		c.runs = append(c.runs[:k], r)
+	}
+	return append([]*frozenRun(nil), c.runs...), nil
+}
+
+// freeze imports rows [lo, hi) as one run.
+func (c *writeChunk) freeze(lo, hi int, w *Writer) (*frozenRun, error) {
+	cs, err := colstore.FromTable(c.rowRange(lo, hi).toTable("mem"), w.base.Opts)
 	if err != nil {
 		return nil, err
 	}
-	fv := &frozenView{rows: n, store: cs, eng: exec.New(cs, w.unitEngineOpts())}
-	c.frozen, c.frozenRows = fv, n
-	return fv, nil
+	w.freezeRows.Add(int64(hi - lo))
+	return &frozenRun{start: lo, end: hi, eng: exec.New(cs, w.unitEngineOpts())}, nil
+}
+
+// numRuns returns the number of cached frozen runs.
+func (c *writeChunk) numRuns() int {
+	c.runsMu.Lock()
+	defer c.runsMu.Unlock()
+	return len(c.runs)
 }

@@ -17,8 +17,9 @@ import (
 type Snapshot struct {
 	w *Writer
 	// units are the queryable parts in a fixed order (base, segments in
-	// manifest order, sealed buffers in seal order, frozen live prefix),
-	// so merge order — and therefore the result — is deterministic.
+	// manifest order, then each buffer's frozen runs in row order: sealed
+	// buffers in seal order, the live buffer last), so merge order — and
+	// therefore the result — is deterministic.
 	units []unit
 	// pinned are the segments whose refs this snapshot holds.
 	pinned []*segment
@@ -34,25 +35,46 @@ type unit struct {
 	rows int
 }
 
+// snapshotCut is what a snapshot fixes in one Writer.mu critical section:
+// the pinned segments, the sealed buffers and the live buffer's row count.
+type snapshotCut struct {
+	pinned  []*segment
+	sealing []*writeChunk
+	mem     *writeChunk
+	memRows int
+}
+
 // Snapshot takes a consistent cut. The cut point is chosen in one mu
 // critical section — generation segment list, sealed buffers, live-buffer
 // row count — which is exactly why seal marks buffers sealed *inside*
 // that same lock: everything the cut sees is a prefix of the append
-// stream. Freezing the buffer prefix (an in-memory import) happens after
-// the lock is dropped.
+// stream. Freezing the buffers happens after the lock is dropped.
 func (w *Writer) Snapshot() (*Snapshot, error) {
+	return w.snapshotAt(w.cut())
+}
+
+func (w *Writer) cut() snapshotCut {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	pinned := make([]*segment, len(w.segs))
 	for i, s := range w.segs {
 		s.refs++
 		pinned[i] = s
 	}
-	sealing := append([]*writeChunk(nil), w.sealing...)
-	mem := w.mem
-	memRows := mem.curRows()
-	w.mu.Unlock()
+	return snapshotCut{
+		pinned:  pinned,
+		sealing: append([]*writeChunk(nil), w.sealing...),
+		mem:     w.mem,
+		memRows: w.mem.curRows(),
+	}
+}
 
-	snap := &Snapshot{w: w, pinned: pinned}
+// snapshotAt freezes the buffers at cut c. Each frozen run of a buffer
+// becomes its own unit: the per-unit merge in Run treats a run exactly
+// like a segment. Sealed buffers are complete, so their runs stay cached
+// until the segment commits.
+func (w *Writer) snapshotAt(c snapshotCut) (*Snapshot, error) {
+	snap := &Snapshot{w: w, pinned: c.pinned}
 	fail := func(err error) (*Snapshot, error) {
 		snap.Release()
 		return nil, err
@@ -60,24 +82,23 @@ func (w *Writer) Snapshot() (*Snapshot, error) {
 	if rows := w.base.NumRows(); rows > 0 {
 		snap.units = append(snap.units, unit{eng: w.baseEng, rows: rows})
 	}
-	for _, s := range pinned {
+	for _, s := range c.pinned {
 		snap.units = append(snap.units, unit{eng: s.eng, rows: s.rows})
 	}
-	for _, c := range sealing {
-		fv, err := c.freezeAt(c.curRows(), w)
-		if err != nil {
+	addRuns := func(wc *writeChunk, n int) error {
+		runs, err := wc.freezeAt(n, w)
+		for _, r := range runs {
+			snap.units = append(snap.units, unit{eng: r.eng, rows: r.rows()})
+		}
+		return err
+	}
+	for _, wc := range c.sealing {
+		if err := addRuns(wc, wc.curRows()); err != nil {
 			return fail(err)
 		}
-		if fv != nil {
-			snap.units = append(snap.units, unit{eng: fv.eng, rows: fv.rows})
-		}
 	}
-	fv, err := mem.freezeAt(memRows, w)
-	if err != nil {
+	if err := addRuns(c.mem, c.memRows); err != nil {
 		return fail(err)
-	}
-	if fv != nil {
-		snap.units = append(snap.units, unit{eng: fv.eng, rows: fv.rows})
 	}
 	if len(snap.units) == 0 {
 		// Empty store, nothing appended: query the base so callers still

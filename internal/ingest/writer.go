@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"powerdrill/internal/colstore"
@@ -36,7 +37,7 @@ type Opts struct {
 	// reads (the base store's own verify flag is the caller's to manage).
 	DisableChecksumVerify bool
 	// EngineOpts configures the engines of segments and frozen buffer
-	// views. The gate is always replaced by the base engine's, so every
+	// runs. The gate is always replaced by the base engine's, so every
 	// unit shares one process-wide worker budget, and the per-chunk
 	// result cache is disabled (units are small and short-lived).
 	EngineOpts exec.Options
@@ -81,10 +82,11 @@ type segment struct {
 // deployment); all methods are safe for concurrent use from any number of
 // goroutines alongside any number of snapshots.
 //
-// Lock order: sealMu → mu → writeChunk.mu. sealMu serializes the two
-// operations that commit generations (seal and compact); mu guards the
-// mutable view state (buffer, sealing list, segments, generation number)
-// and is only ever held briefly.
+// Lock order: sealMu → mu → writeChunk.mu, and writeChunk.runsMu →
+// writeChunk.mu. sealMu serializes the two operations that commit
+// generations (seal and compact); mu guards the mutable view state
+// (buffer, sealing list, segments, generation number) and is only ever
+// held briefly — never across a freeze, which holds runsMu.
 type Writer struct {
 	dir     string
 	base    *colstore.Store
@@ -101,6 +103,10 @@ type Writer struct {
 	nextSeg int
 	closed  bool
 	stats   counters
+
+	// freezeRows counts rows imported by write-buffer freezes (atomic:
+	// freezes run under writeChunk.runsMu, never under mu).
+	freezeRows atomic.Int64
 
 	// walSeq is the next unallocated WAL sequence number. It is written
 	// only under sealMu (Attach runs before any concurrency), and read
@@ -145,12 +151,16 @@ type Stats struct {
 	SegmentRows int64
 	// MemRows counts buffered rows not yet sealed; SealingRows counts
 	// rows sealed but not yet committed; MemBytes is the buffer's
-	// resident footprint (dictionaries plus ids).
+	// resident footprint (dictionaries plus ids). MemUnits is the number
+	// of frozen runs the buffer's rows are queried through.
 	MemRows     int
 	SealingRows int64
 	MemBytes    int64
-	// Cumulative counters.
+	MemUnits    int
+	// Cumulative counters. FreezeRows counts rows imported by buffer
+	// freezes: the write amplification snapshots pay, O(log n) per row.
 	RowsAppended      int64
+	FreezeRows        int64
 	Seals             int64
 	Compactions       int64
 	SegmentsCompacted int64
@@ -383,7 +393,7 @@ func (w *Writer) syncLoop() {
 }
 
 // unitEngineOpts are the engine options every non-base unit (segment or
-// frozen buffer view) runs with: the caller's options minus the result
+// frozen buffer run) runs with: the caller's options minus the result
 // cache, sharing the base engine's admission gate.
 func (w *Writer) unitEngineOpts() exec.Options {
 	o := w.opts.EngineOpts
@@ -544,7 +554,7 @@ func (w *Writer) seal() error {
 		_ = mem.wal.sync()
 	}
 
-	seg, err := w.buildSegment(mem.prefix(rows), seq, gen+1, segList, walFloor, walDone)
+	seg, err := w.buildSegment(mem.rowRange(0, rows), seq, gen+1, segList, walFloor, walDone)
 	if err != nil {
 		return err
 	}
@@ -584,7 +594,7 @@ func (w *Writer) liveSegments() []genSegment {
 // buildSegment writes the rows of p as segment seq on disk and commits
 // generation gen listing prev plus the new segment, carrying the WAL
 // retirement state computed by the caller. Called with sealMu held.
-func (w *Writer) buildSegment(p chunkPrefix, seq, gen int, prev []genSegment, walFloor int, walDone []int) (*segment, error) {
+func (w *Writer) buildSegment(p chunkRows, seq, gen int, prev []genSegment, walFloor int, walDone []int) (*segment, error) {
 	cs, err := colstore.FromTable(p.toTable("seg"), w.base.Opts)
 	if err != nil {
 		return nil, err
@@ -630,13 +640,14 @@ func (w *Writer) Rows() int64 {
 // Stats returns the writer's current state and cumulative counters.
 func (w *Writer) Stats() Stats {
 	w.mu.Lock()
-	defer w.mu.Unlock()
+	mem := w.mem
 	st := Stats{
 		Gen:               w.gen,
 		Segments:          len(w.segs),
-		MemRows:           w.mem.curRows(),
-		MemBytes:          w.mem.memoryBytes(),
+		MemRows:           mem.curRows(),
+		MemBytes:          mem.memoryBytes(),
 		RowsAppended:      w.stats.rowsAppended,
+		FreezeRows:        w.freezeRows.Load(),
 		Seals:             w.stats.seals,
 		Compactions:       w.stats.compactions,
 		SegmentsCompacted: w.stats.segmentsCompacted,
@@ -648,6 +659,10 @@ func (w *Writer) Stats() Stats {
 	for _, c := range w.sealing {
 		st.SealingRows += int64(c.curRows())
 	}
+	w.mu.Unlock()
+	// Outside mu: a freeze holds runsMu through an import, and mu must
+	// stay brief.
+	st.MemUnits = mem.numRuns()
 	return st
 }
 
