@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -282,6 +283,73 @@ func TestIngestHandler(t *testing.T) {
 // shutdown flushes the write buffer into a committed segment), in-flight
 // requests drain, and afterwards both the HTTP listener and the store
 // refuse new work with a clean error rather than a panic or a hang.
+// filler is an endless stream of one byte.
+type filler byte
+
+func (f filler) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestIngestBodyCap posts a batch over maxIngestBody to a live server: it
+// must answer 413, and go on serving appends and /statz.
+func TestIngestBodyCap(t *testing.T) {
+	tbl := powerdrill.GenerateQueryLogs(1000, 3)
+	built, err := powerdrill.Build(tbl, powerdrill.Options{PartitionFields: []string{"country"}, MaxChunkRows: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := built.Save(dir, "zippy"); err != nil {
+		t.Fatal(err)
+	}
+	store, _, err := powerdrill.Open(dir, powerdrill.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv := httptest.NewServer(statzMux(store))
+	defer srv.Close()
+
+	huge := io.MultiReader(
+		strings.NewReader(`{"columns":[{"name":"user","kind":"string","strs":["`),
+		io.LimitReader(filler('a'), maxIngestBody),
+		strings.NewReader(`"]}]}`))
+	resp, err := http.Post(srv.URL+"/ingest", "application/json", huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized batch: status %d, want 413", resp.StatusCode)
+	}
+
+	body := `{"columns":[
+		{"name":"timestamp","kind":"int64","ints":[1]},
+		{"name":"table_name","kind":"string","strs":["t1"]},
+		{"name":"latency","kind":"int64","ints":[10]},
+		{"name":"country","kind":"string","strs":["zz"]},
+		{"name":"user","kind":"string","strs":["u1"]}]}`
+	resp, err = http.Post(srv.URL+"/ingest", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || store.NumRows() != 1001 {
+		t.Fatalf("append after the refusal: status %d, %d rows", resp.StatusCode, store.NumRows())
+	}
+	resp, err = http.Get(srv.URL + "/statz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/statz after the refusal: status %d", resp.StatusCode)
+	}
+}
+
 func TestGracefulShutdown(t *testing.T) {
 	tbl := powerdrill.GenerateQueryLogs(1000, 5)
 	built, err := powerdrill.Build(tbl, powerdrill.Options{

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/url"
 	"strings"
@@ -354,10 +355,15 @@ type ingestColumn struct {
 	Floats []float64 `json:"floats,omitempty"`
 }
 
+// maxIngestBody caps one /ingest request body. The JSON decoder buffers
+// the whole batch, so the cap bounds the memory one request can take;
+// larger loads go in several batches.
+const maxIngestBody = 32 << 20
+
 // ingestHandler appends a POSTed batch through the store's streaming
 // ingestion path; the rows are visible to queries as soon as the request
 // returns. ?flush=1 additionally seals the write buffer (durability
-// barrier).
+// barrier). A body over maxIngestBody is refused with 413.
 func ingestHandler(store *powerdrill.Store) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -365,8 +371,13 @@ func ingestHandler(store *powerdrill.Store) http.Handler {
 			return
 		}
 		var req ingestRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody)).Decode(&req); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
 		tbl := powerdrill.NewTable("data")

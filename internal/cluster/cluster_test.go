@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"net"
 	"sort"
@@ -363,5 +364,43 @@ func TestDistributedHaving(t *testing.T) {
 		if r[1].Int() <= 300 {
 			t.Errorf("group %v leaked through distributed HAVING", r)
 		}
+	}
+}
+
+// TestGroupKeysWithSeparatorBytes groups by two string columns whose values
+// contain 0x1f on two shards: the merge must keep ("a\x1f\x01b", "c") and
+// ("a", "b\x1f\x01c") apart, as one-shot Build does.
+func TestGroupKeysWithSeparatorBytes(t *testing.T) {
+	xs := []string{"a\x1f\x01b", "a", "a", "a\x1f\x01b"}
+	ys := []string{"c", "b\x1f\x01c", "b\x1f\x01c", "z"}
+	shard := func(lo, hi int) *table.Table {
+		tbl := table.New("data")
+		tbl.AddStringColumn("x", xs[lo:hi])
+		tbl.AddStringColumn("y", ys[lo:hi])
+		return tbl
+	}
+	var leaves []*LocalLeaf
+	for i, tbl := range []*table.Table{shard(0, 1), shard(1, 4)} {
+		store, err := colstore.FromTable(tbl, colstore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves = append(leaves, NewLocalLeaf(fmt.Sprintf("leaf%d", i), exec.New(store, exec.Options{})))
+	}
+	whole, err := colstore.FromTable(shard(0, 4), colstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := `SELECT x, y, COUNT(*) AS c FROM data GROUP BY x, y ORDER BY x ASC, y ASC;`
+	want, err := exec.New(whole, exec.Options{}).Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := FromLeaves(singles(leaves), Options{Replicas: 1}).Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Rows) != 3 || !bitIdenticalRows(got.Rows, want.Rows) {
+		t.Fatalf("cluster rows %v, one-shot Build %v", got.Rows, want.Rows)
 	}
 }

@@ -452,13 +452,10 @@ func (d *dispatcher) mergeTree(parts []*exec.Partial) (*exec.Partial, error) {
 			if end > len(level) {
 				end = len(level)
 			}
-			acc := level[start]
-			for _, p := range level[start+1 : end] {
-				if err := exec.MergePartials(acc, p); err != nil {
-					return nil, err
-				}
+			if err := exec.MergePartials(level[start], level[start+1:end]...); err != nil {
+				return nil, err
 			}
-			next = append(next, acc)
+			next = append(next, level[start])
 		}
 		level = next
 	}

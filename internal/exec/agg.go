@@ -504,7 +504,6 @@ func (e *Engine) finalize(p *plan, global map[uint32][]accCell) (*Result, error)
 		}
 	}
 
-	rowGIDs := make([]uint32, 0, len(gids))
 	for _, gid := range gids {
 		accs := global[gid]
 		row := make([]value.Value, len(p.items))
@@ -518,7 +517,7 @@ func (e *Engine) finalize(p *plan, global map[uint32][]accCell) (*Result, error)
 			}
 		}
 		if !deferKeys {
-			keyVals, err := e.groupKeyValues(p, gid)
+			keyVals, err := e.groupKeyValues(nil, p, gid)
 			if err != nil {
 				return nil, err
 			}
@@ -529,15 +528,30 @@ func (e *Engine) finalize(p *plan, global map[uint32][]accCell) (*Result, error)
 			}
 		}
 		res.Rows = append(res.Rows, row)
-		rowGIDs = append(rowGIDs, gid)
 	}
 
 	if deferKeys {
-		// Sort rows and gids together by the aggregate order keys, cut to
-		// the limit, then look up only the surviving groups' values.
-		if err := e.orderAndLimitWithGIDs(p, res, rowGIDs); err != nil {
+		// Order rows by the aggregate keys and cut to the limit, then look
+		// up only the surviving groups' values.
+		keys, err := p.orderKeys(res)
+		if err != nil {
 			return nil, err
 		}
+		pos := orderRows(res.Rows, keys, p.stmt.Limit)
+		rows := make([][]value.Value, len(pos))
+		for i, r := range pos {
+			keyVals, err := e.groupKeyValues(nil, p, gids[r])
+			if err != nil {
+				return nil, err
+			}
+			rows[i] = res.Rows[r]
+			for j, it := range p.items {
+				if it.groupIdx >= 0 {
+					rows[i][j] = keyVals[it.groupIdx]
+				}
+			}
+		}
+		res.Rows = rows
 		return res, nil
 	}
 	if err := applyHaving(p.stmt, res); err != nil {
@@ -549,61 +563,9 @@ func (e *Engine) finalize(p *plan, global map[uint32][]accCell) (*Result, error)
 	return res, nil
 }
 
-// orderAndLimitWithGIDs sorts rows (keeping group ids aligned), applies
-// the limit, and materializes group-key values for the remaining rows.
-func (e *Engine) orderAndLimitWithGIDs(p *plan, res *Result, gids []uint32) error {
-	stmt := p.stmt
-	keys := make([]int, len(stmt.OrderBy))
-	for i, o := range stmt.OrderBy {
-		idx, err := p.resolveOrderColumn(res, o.Expr)
-		if err != nil {
-			return err
-		}
-		keys[i] = idx
-	}
-	order := make([]int, len(res.Rows))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ra, rb := res.Rows[order[a]], res.Rows[order[b]]
-		for i, k := range keys {
-			c := ra[k].Compare(rb[k])
-			if c == 0 {
-				continue
-			}
-			if stmt.OrderBy[i].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	n := len(order)
-	if stmt.Limit >= 0 && n > stmt.Limit {
-		n = stmt.Limit
-	}
-	rows := make([][]value.Value, n)
-	for i := 0; i < n; i++ {
-		row := res.Rows[order[i]]
-		keyVals, err := e.groupKeyValues(p, gids[order[i]])
-		if err != nil {
-			return err
-		}
-		for j, it := range p.items {
-			if it.groupIdx >= 0 {
-				row[j] = keyVals[it.groupIdx]
-			}
-		}
-		rows[i] = row
-	}
-	res.Rows = rows
-	return nil
-}
-
-// groupKeyValues decodes a group global-id into the per-group-expression
-// values.
-func (e *Engine) groupKeyValues(p *plan, gid uint32) ([]value.Value, error) {
+// groupKeyValues appends the per-group-expression values of a group
+// global-id to dst.
+func (e *Engine) groupKeyValues(dst []value.Value, p *plan, gid uint32) ([]value.Value, error) {
 	switch {
 	case p.composite != "":
 		key := p.col(e, p.composite).Dict.Value(gid).Str()
@@ -611,19 +573,18 @@ func (e *Engine) groupKeyValues(p *plan, gid uint32) ([]value.Value, error) {
 		if len(parts) != len(p.groupCols) {
 			return nil, fmt.Errorf("exec: corrupt composite key %q", key)
 		}
-		out := make([]value.Value, len(parts))
 		for i, hex := range parts {
 			sub, err := strconv.ParseUint(hex, 16, 32)
 			if err != nil {
 				return nil, fmt.Errorf("exec: corrupt composite key %q: %w", key, err)
 			}
-			out[i] = p.col(e, p.groupCols[i]).Dict.Value(uint32(sub))
+			dst = append(dst, p.col(e, p.groupCols[i]).Dict.Value(uint32(sub)))
 		}
-		return out, nil
+		return dst, nil
 	case len(p.groupCols) == 1:
-		return []value.Value{p.col(e, p.groupCols[0]).Dict.Value(gid)}, nil
+		return append(dst, p.col(e, p.groupCols[0]).Dict.Value(gid)), nil
 	}
-	return nil, nil
+	return dst, nil
 }
 
 // aggValue renders one aggregate's final value.
@@ -667,36 +628,27 @@ func (e *Engine) aggValue(p *plan, spec aggSpec, cell *accCell) (value.Value, er
 	return value.Value{}, fmt.Errorf("exec: unknown aggregate %d", spec.fn)
 }
 
-// orderAndLimit applies ORDER BY and LIMIT to the result in place.
+// orderAndLimit applies ORDER BY and LIMIT to the result.
 func (e *Engine) orderAndLimit(p *plan, res *Result) error {
-	stmt := p.stmt
-	if len(stmt.OrderBy) > 0 {
-		keys := make([]int, len(stmt.OrderBy))
-		for i, o := range stmt.OrderBy {
-			idx, err := p.resolveOrderColumn(res, o.Expr)
-			if err != nil {
-				return err
-			}
-			keys[i] = idx
-		}
-		sort.SliceStable(res.Rows, func(a, b int) bool {
-			for i, k := range keys {
-				c := res.Rows[a][k].Compare(res.Rows[b][k])
-				if c == 0 {
-					continue
-				}
-				if stmt.OrderBy[i].Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
+	keys, err := p.orderKeys(res)
+	if err != nil {
+		return err
 	}
-	if stmt.Limit >= 0 && len(res.Rows) > stmt.Limit {
-		res.Rows = res.Rows[:stmt.Limit]
-	}
+	res.Rows = applyOrder(res.Rows, keys, p.stmt.Limit)
 	return nil
+}
+
+// orderKeys resolves every ORDER BY term to an output column.
+func (p *plan) orderKeys(res *Result) ([]orderKey, error) {
+	keys := make([]orderKey, len(p.stmt.OrderBy))
+	for i, o := range p.stmt.OrderBy {
+		idx, err := p.resolveOrderColumn(res, o.Expr)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = orderKey{idx, o.Desc}
+	}
+	return keys, nil
 }
 
 // resolveOrderColumn maps an ORDER BY expression to an output column.

@@ -121,4 +121,9 @@ func (qs *QueryStats) add(o QueryStats) {
 	qs.BloomSkippedChunks += o.BloomSkippedChunks
 	qs.KernelChunks += o.KernelChunks
 	qs.ScalarChunks += o.ScalarChunks
+	qs.ChecksumVerified += o.ChecksumVerified
+	qs.ChecksumFailed += o.ChecksumFailed
+	qs.RowsTotal += o.RowsTotal
+	qs.RowsCovered += o.RowsCovered
+	qs.ShardsMissing += o.ShardsMissing
 }

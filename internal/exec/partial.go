@@ -1,9 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"powerdrill/internal/sketch"
@@ -64,8 +65,9 @@ func (c *PartialCell) sumFloat() float64 {
 	if len(c.SumFParts) == 0 {
 		return c.SumF
 	}
-	parts := append([]float64(nil), c.SumFParts...)
-	sort.Slice(parts, func(i, j int) bool { return floatOrd(parts[i]) < floatOrd(parts[j]) })
+	var buf [16]float64
+	parts := append(buf[:0], c.SumFParts...)
+	slices.SortFunc(parts, func(a, b float64) int { return cmp.Compare(floatOrd(a), floatOrd(b)) })
 	var sum float64
 	for _, v := range parts {
 		sum += v
@@ -128,23 +130,39 @@ func (e *Engine) RunPartial(stmt *sql.SelectStmt) (*Partial, error) {
 	for _, it := range p.items {
 		out.Columns = append(out.Columns, it.name)
 	}
+	// Every group has the same shape, so keys, cells and float parts are
+	// carved from one slab each.
+	nAggs := len(p.aggs)
+	if len(global) > 0 {
+		out.Groups = make([]PartialGroup, 0, len(global))
+	}
+	keys := make([]value.Value, 0, len(global)*len(p.groupCols))
+	cells := make([]PartialCell, len(global)*nAggs)
+	parts := make([]float64, len(global)*nAggs)
 	for gid, accs := range global {
-		keys, err := e.groupKeyValues(p, gid)
+		var pg PartialGroup
+		start := len(keys)
+		keys, err = e.groupKeyValues(keys, p, gid)
 		if err != nil {
 			return nil, err
 		}
-		pg := PartialGroup{Keys: keys}
-		for j := range p.aggs {
-			cell := PartialCell{
-				Count: accs[j].count,
-				SumI:  accs[j].sumI,
-				SumF:  accs[j].sumF,
-			}
+		if len(keys) > start {
+			pg.Keys = keys[start:len(keys):len(keys)]
+		}
+		if nAggs > 0 {
+			pg.Cells, cells = cells[:nAggs:nAggs], cells[nAggs:]
+		}
+		for j := range pg.Cells {
+			cell := &pg.Cells[j]
+			cell.Count = accs[j].count
+			cell.SumI = accs[j].sumI
+			cell.SumF = accs[j].sumF
 			if col := p.aggs[j].argCol; col != "" {
 				cell.SumIsInt = p.col(e, col).Kind == value.KindInt64
 			}
 			if fn := p.aggs[j].fn; (fn == aggSum || fn == aggAvg) && !cell.SumIsInt {
-				cell.SumFParts = []float64{cell.SumF}
+				parts[0] = cell.SumF
+				cell.SumFParts, parts = parts[:1:1], parts[1:]
 			}
 			if accs[j].hasMM {
 				col := p.col(e, p.aggs[j].argCol)
@@ -154,7 +172,6 @@ func (e *Engine) RunPartial(stmt *sql.SelectStmt) (*Partial, error) {
 			if accs[j].sketch != nil {
 				cell.Sketch = accs[j].sketch.Marshal()
 			}
-			pg.Cells = append(pg.Cells, cell)
 		}
 		out.Groups = append(out.Groups, pg)
 	}
@@ -162,78 +179,54 @@ func (e *Engine) RunPartial(stmt *sql.SelectStmt) (*Partial, error) {
 	return out, nil
 }
 
-// keyString renders a group key for merge hashing.
-func keyString(keys []value.Value) string {
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteByte(byte(k.Kind()))
-		b.WriteString(k.String())
-		b.WriteByte(0x1f)
-	}
-	return b.String()
-}
-
-// MergePartials folds src into dst (same query shape). This is the
-// re-aggregation every inner node of the execution tree performs.
-func MergePartials(dst, src *Partial) error {
-	if dst == nil || src == nil {
+// MergePartials folds srcs into dst (same query shape), in order. This is
+// the re-aggregation every inner node of the execution tree performs; one
+// call indexes dst's groups once, however many children it folds. A group
+// is keyed by its values' wire form (appendGroupKey), which is
+// self-delimiting, so distinct keys never collide.
+func MergePartials(dst *Partial, srcs ...*Partial) error {
+	if dst == nil {
 		return fmt.Errorf("exec: merging nil partials")
 	}
-	if len(dst.Columns) == 0 {
-		dst.Columns = src.Columns
-	}
-	if len(src.Columns) != len(dst.Columns) {
-		return fmt.Errorf("exec: merging partials with %d vs %d columns", len(src.Columns), len(dst.Columns))
-	}
-	index := make(map[string]int, len(dst.Groups))
-	for i, g := range dst.Groups {
-		index[keyString(g.Keys)] = i
-	}
-	for _, g := range src.Groups {
-		k := keyString(g.Keys)
-		di, ok := index[k]
-		if !ok {
-			dst.Groups = append(dst.Groups, g)
-			index[k] = len(dst.Groups) - 1
-			continue
+	var index map[string]int
+	var key []byte
+	for _, src := range srcs {
+		if src == nil {
+			return fmt.Errorf("exec: merging nil partials")
 		}
-		d := &dst.Groups[di]
-		if len(d.Cells) != len(g.Cells) {
-			return fmt.Errorf("exec: merging groups with %d vs %d cells", len(d.Cells), len(g.Cells))
+		if len(dst.Columns) == 0 {
+			dst.Columns = src.Columns
 		}
-		for j := range d.Cells {
-			if err := d.Cells[j].merge(&g.Cells[j]); err != nil {
-				return err
+		if len(src.Columns) != len(dst.Columns) {
+			return fmt.Errorf("exec: merging partials with %d vs %d columns", len(src.Columns), len(dst.Columns))
+		}
+		if index == nil {
+			index = make(map[string]int, len(dst.Groups)+len(src.Groups))
+			for i, g := range dst.Groups {
+				key = appendGroupKey(key[:0], g.Keys)
+				index[string(key)] = i
 			}
 		}
+		for _, g := range src.Groups {
+			key = appendGroupKey(key[:0], g.Keys)
+			di, ok := index[string(key)]
+			if !ok {
+				dst.Groups = append(dst.Groups, g)
+				index[string(key)] = len(dst.Groups) - 1
+				continue
+			}
+			d := &dst.Groups[di]
+			if len(d.Cells) != len(g.Cells) {
+				return fmt.Errorf("exec: merging groups with %d vs %d cells", len(d.Cells), len(g.Cells))
+			}
+			for j := range d.Cells {
+				if err := d.Cells[j].merge(&g.Cells[j]); err != nil {
+					return err
+				}
+			}
+		}
+		dst.Stats.add(src.Stats)
 	}
-	dst.Stats.ChunksTotal += src.Stats.ChunksTotal
-	dst.Stats.ChunksSkipped += src.Stats.ChunksSkipped
-	dst.Stats.ChunksCached += src.Stats.ChunksCached
-	dst.Stats.ChunksScanned += src.Stats.ChunksScanned
-	dst.Stats.RowsScanned += src.Stats.RowsScanned
-	dst.Stats.RowsCached += src.Stats.RowsCached
-	dst.Stats.RowsSkipped += src.Stats.RowsSkipped
-	dst.Stats.CellsCovered += src.Stats.CellsCovered
-	dst.Stats.CellsScanned += src.Stats.CellsScanned
-	dst.Stats.ActiveChunks += src.Stats.ActiveChunks
-	dst.Stats.SkippedChunks += src.Stats.SkippedChunks
-	dst.Stats.ColdLoads += src.Stats.ColdLoads
-	dst.Stats.ColdChunkLoads += src.Stats.ColdChunkLoads
-	dst.Stats.ColdDictLoads += src.Stats.ColdDictLoads
-	dst.Stats.ColdBytesLoaded += src.Stats.ColdBytesLoaded
-	dst.Stats.DiskBytesRead += src.Stats.DiskBytesRead
-	dst.Stats.ChecksumVerified += src.Stats.ChecksumVerified
-	dst.Stats.ChecksumFailed += src.Stats.ChecksumFailed
-	dst.Stats.CacheSkippedChunks += src.Stats.CacheSkippedChunks
-	dst.Stats.ReadRuns += src.Stats.ReadRuns
-	dst.Stats.CoalescedReads += src.Stats.CoalescedReads
-	dst.Stats.BloomSkippedChunks += src.Stats.BloomSkippedChunks
-	dst.Stats.KernelChunks += src.Stats.KernelChunks
-	dst.Stats.ScalarChunks += src.Stats.ScalarChunks
-	dst.Stats.RowsTotal += src.Stats.RowsTotal
-	dst.Stats.RowsCovered += src.Stats.RowsCovered
-	dst.Stats.ShardsMissing += src.Stats.ShardsMissing
 	return nil
 }
 
@@ -391,8 +384,10 @@ func partialItemSpecs(stmt *sql.SelectStmt) ([]*partialItemSpec, []int, error) {
 // aggregates.
 func ApplyOrderLimit(stmt *sql.SelectStmt, res *Result) { sortPartialRows(stmt, res) }
 
-// sortPartialRows applies ORDER BY and LIMIT at the root.
+// sortPartialRows applies ORDER BY and LIMIT at the root. ORDER BY terms
+// that name no output column are ignored.
 func sortPartialRows(stmt *sql.SelectStmt, res *Result) {
+	var keys []orderKey
 	if len(stmt.OrderBy) > 0 {
 		cols := map[string]int{}
 		for i, item := range stmt.Items {
@@ -401,31 +396,11 @@ func sortPartialRows(stmt *sql.SelectStmt, res *Result) {
 			}
 			cols[item.Expr.String()] = i
 		}
-		type orderKey struct {
-			idx  int
-			desc bool
-		}
-		var keys []orderKey
 		for _, o := range stmt.OrderBy {
 			if idx, found := cols[o.Expr.String()]; found {
 				keys = append(keys, orderKey{idx, o.Desc})
 			}
 		}
-		sort.SliceStable(res.Rows, func(a, b int) bool {
-			for _, k := range keys {
-				c := res.Rows[a][k.idx].Compare(res.Rows[b][k.idx])
-				if c == 0 {
-					continue
-				}
-				if k.desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
 	}
-	if stmt.Limit >= 0 && len(res.Rows) > stmt.Limit {
-		res.Rows = res.Rows[:stmt.Limit]
-	}
+	res.Rows = applyOrder(res.Rows, keys, stmt.Limit)
 }

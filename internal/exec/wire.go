@@ -43,9 +43,13 @@ const (
 	cellFlagHasMax
 )
 
+// wireGroupBytes pre-sizes EncodePartial's buffer: about what a group with
+// a short string key, a COUNT and a float SUM encodes to.
+const wireGroupBytes = 48
+
 // EncodePartial serializes p into the versioned wire form.
 func EncodePartial(p *Partial) []byte {
-	b := make([]byte, 0, 256)
+	b := make([]byte, 0, 64+len(p.Groups)*wireGroupBytes)
 	b = append(b, PartialWireVersion)
 	b = binary.AppendUvarint(b, uint64(len(p.Columns)))
 	for _, c := range p.Columns {
@@ -59,9 +63,7 @@ func EncodePartial(p *Partial) []byte {
 	b = binary.AppendUvarint(b, uint64(len(p.Groups)))
 	for _, g := range p.Groups {
 		b = binary.AppendUvarint(b, uint64(len(g.Keys)))
-		for _, k := range g.Keys {
-			b = appendWireValue(b, k)
-		}
+		b = appendGroupKey(b, g.Keys)
 		b = binary.AppendUvarint(b, uint64(len(g.Cells)))
 		for i := range g.Cells {
 			b = appendWireCell(b, &g.Cells[i])
@@ -70,8 +72,20 @@ func EncodePartial(p *Partial) []byte {
 	return b
 }
 
+// Minimum encoded sizes. A count is checked against the bytes left before
+// anything is allocated for it, so a short payload claiming a huge count
+// errors instead of allocating.
+const (
+	minWireGroup = 2  // #keys, #cells
+	minWireValue = 1  // kind byte
+	minWireCell  = 13 // flags, Count, SumI, SumF (8), #SumFParts, #Sketch
+)
+
 // DecodePartial parses data produced by EncodePartial (any process, any
-// build — the version byte gates compatibility).
+// build — the version byte gates compatibility). Groups, keys, cells and
+// float parts are carved from a few per-partial slabs, and every decoded
+// string is a substring of one string copy of the payload: a partial
+// keeps that copy alive for as long as any of its strings lives.
 func DecodePartial(data []byte) (*Partial, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("exec: decode partial: empty payload")
@@ -79,30 +93,44 @@ func DecodePartial(data []byte) (*Partial, error) {
 	if data[0] != PartialWireVersion {
 		return nil, fmt.Errorf("exec: decode partial: wire version %d, want %d", data[0], PartialWireVersion)
 	}
-	r := &wireReader{b: data[1:]}
+	r := &wireReader{b: data[1:], s: string(data[1:])}
 	p := &Partial{}
-	for i, n := 0, r.uvarint(); uint64(i) < n && r.err == nil; i++ {
-		p.Columns = append(p.Columns, r.str())
+	if n := r.count(1); n > 0 {
+		p.Columns = make([]string, n)
+		for i := range p.Columns {
+			p.Columns[i] = r.str()
+		}
 	}
-	nStats := r.uvarint()
-	counters := make([]int64, nStats)
+	counters := make([]int64, r.count(1))
 	for i := range counters {
 		counters[i] = r.varint()
 	}
 	setStatsCounters(&p.Stats, counters)
-	nGroups := r.uvarint()
-	for gi := uint64(0); gi < nGroups && r.err == nil; gi++ {
-		var g PartialGroup
-		for i, n := 0, r.uvarint(); uint64(i) < n && r.err == nil; i++ {
-			g.Keys = append(g.Keys, r.value())
+	if n := r.count(minWireGroup); n > 0 {
+		p.Groups = make([]PartialGroup, n)
+		var keys []value.Value
+		var cells []PartialCell
+		var parts []float64
+		for gi := range p.Groups {
+			left := n - gi // groups still to decode, this one included
+			g := &p.Groups[gi]
+			nk := r.count(minWireValue)
+			g.Keys = carve(&keys, nk, left, r.left()/minWireValue)
+			for i := range g.Keys {
+				g.Keys[i] = r.value()
+			}
+			nc := r.count(minWireCell)
+			g.Cells = carve(&cells, nc, left, r.left()/minWireCell)
+			for i := range g.Cells {
+				r.cell(&g.Cells[i], &parts, nc*left)
+			}
+			if r.err != nil {
+				break
+			}
 		}
-		for i, n := 0, r.uvarint(); uint64(i) < n && r.err == nil; i++ {
-			g.Cells = append(g.Cells, r.cell())
-		}
-		p.Groups = append(p.Groups, g)
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.err = fmt.Errorf("exec: decode partial: %d trailing bytes", len(r.b))
+	if r.err == nil && r.left() != 0 {
+		r.err = fmt.Errorf("exec: decode partial: %d trailing bytes", r.left())
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -110,9 +138,41 @@ func DecodePartial(data []byte) (*Partial, error) {
 	return p, nil
 }
 
+// carve hands out the next n elements of *slab, capacity-capped so an
+// append to one never runs into its neighbour. A slab too short is
+// replaced by one sized for n per remaining item (left of them, the
+// partial being uniform in shape), but never for more than room — the
+// most elements the rest of the payload can encode, which is at least n.
+func carve[T any](slab *[]T, n, left, room int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(*slab) < n {
+		size := room
+		if left <= room/n {
+			size = n * left
+		}
+		*slab = make([]T, size)
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
 func appendWireString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
+}
+
+// appendGroupKey appends the wire form of a group's key values. Each value
+// is self-delimiting (kind byte, then a length-prefixed or fixed-size
+// payload), so distinct key tuples never encode alike — the property
+// MergePartials relies on when it hashes these bytes.
+func appendGroupKey(b []byte, keys []value.Value) []byte {
+	for _, k := range keys {
+		b = appendWireValue(b, k)
+	}
+	return b
 }
 
 func appendWireValue(b []byte, v value.Value) []byte {
@@ -157,10 +217,14 @@ func appendWireCell(b []byte, c *PartialCell) []byte {
 	return append(b, c.Sketch...)
 }
 
-// wireReader consumes the payload; the first malformed read sticks in err
-// and every later read returns zero values.
+// wireReader consumes the payload, held twice: as bytes to parse and as
+// one string that decoded strings are cut from. It advances an offset
+// rather than re-slicing, so reads write no pointers. The first malformed
+// read sticks in err and every later read returns zero values.
 type wireReader struct {
 	b   []byte
+	s   string // the same bytes as b
+	off int
 	err error
 }
 
@@ -170,16 +234,19 @@ func (r *wireReader) fail() {
 	}
 }
 
+// left is the number of unread bytes.
+func (r *wireReader) left() int { return len(r.b) - r.off }
+
 func (r *wireReader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(r.b)
+	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
 		r.fail()
 		return 0
 	}
-	r.b = r.b[n:]
+	r.off += n
 	return v
 }
 
@@ -187,47 +254,67 @@ func (r *wireReader) varint() int64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(r.b)
+	v, n := binary.Varint(r.b[r.off:])
 	if n <= 0 {
 		r.fail()
 		return 0
 	}
-	r.b = r.b[n:]
+	r.off += n
 	return v
 }
 
-func (r *wireReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.b) {
+// count reads an element count and checks that the rest of the payload can
+// hold that many elements of at least size bytes each.
+func (r *wireReader) count(size int) int {
+	n := r.uvarint()
+	if n > uint64(r.left()/size) {
 		r.fail()
-		return nil
+		return 0
 	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
+	return int(n)
+}
+
+// ok reports whether n more bytes can be read.
+func (r *wireReader) ok(n int) bool {
+	if r.err != nil {
+		return false
+	}
+	if n > r.left() {
+		r.fail()
+		return false
+	}
+	return true
 }
 
 func (r *wireReader) str() string {
-	n := r.uvarint()
-	return string(r.take(int(n)))
+	n := r.count(1)
+	out := r.s[r.off : r.off+n]
+	r.off += n
+	return out
+}
+
+func (r *wireReader) u8() byte {
+	if !r.ok(1) {
+		return 0
+	}
+	r.off++
+	return r.b[r.off-1]
 }
 
 func (r *wireReader) float() float64 {
-	raw := r.take(8)
-	if r.err != nil {
+	if !r.ok(8) {
 		return 0
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(raw))
+	r.off += 8
+	return math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off-8:]))
 }
 
 func (r *wireReader) value() value.Value {
-	kind := r.take(1)
+	kind := r.u8()
 	if r.err != nil {
 		return value.Value{}
 	}
-	switch value.Kind(kind[0]) {
+	switch value.Kind(kind) {
 	case value.KindString:
 		return value.String(r.str())
 	case value.KindInt64:
@@ -237,29 +324,22 @@ func (r *wireReader) value() value.Value {
 	case value.KindInvalid:
 		return value.Value{}
 	}
-	r.err = fmt.Errorf("exec: decode partial: unknown value kind %d", kind[0])
+	r.err = fmt.Errorf("exec: decode partial: unknown value kind %d", kind)
 	return value.Value{}
 }
 
-func (r *wireReader) cell() PartialCell {
-	flagsRaw := r.take(1)
-	if r.err != nil {
-		return PartialCell{}
-	}
-	flags := flagsRaw[0]
-	c := PartialCell{SumIsInt: flags&cellFlagSumIsInt != 0}
+// cell decodes one cell into c, carving its float parts from *parts;
+// left estimates the cells still to decode, for sizing that slab.
+func (r *wireReader) cell(c *PartialCell, parts *[]float64, left int) {
+	flags := r.u8()
+	c.SumIsInt = flags&cellFlagSumIsInt != 0
 	c.Count = r.varint()
 	c.SumI = r.varint()
 	c.SumF = r.float()
-	if n := r.uvarint(); n > 0 && r.err == nil {
-		if n > uint64(len(r.b)/8) {
-			r.fail()
-			return PartialCell{}
-		}
-		c.SumFParts = make([]float64, n)
-		for i := range c.SumFParts {
-			c.SumFParts[i] = r.float()
-		}
+	n := r.count(8)
+	c.SumFParts = carve(parts, n, left, r.left()/8)
+	for i := range c.SumFParts {
+		c.SumFParts[i] = r.float()
 	}
 	if flags&cellFlagHasMin != 0 {
 		c.Min = r.value()
@@ -267,10 +347,10 @@ func (r *wireReader) cell() PartialCell {
 	if flags&cellFlagHasMax != 0 {
 		c.Max = r.value()
 	}
-	if n := r.uvarint(); n > 0 && r.err == nil {
-		c.Sketch = append([]byte(nil), r.take(int(n))...)
+	if n := r.count(1); n > 0 {
+		c.Sketch = append([]byte(nil), r.b[r.off:r.off+n]...)
+		r.off += n
 	}
-	return c
 }
 
 // statsCounters snapshots every QueryStats counter in wire order. The

@@ -1,9 +1,13 @@
 package exec
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"powerdrill/internal/value"
@@ -124,4 +128,77 @@ func TestSumFloatTopologyInvariant(t *testing.T) {
 			t.Fatalf("trial %d: tree fold %x != flat fold %x", trial, got, want)
 		}
 	}
+}
+
+// hugeCountPayloads are tiny payloads whose group, key, cell, float-part or
+// sketch counts claim far more than they hold.
+func hugeCountPayloads() [][]byte {
+	huge := binary.AppendUvarint(nil, 1<<62)
+	head := []byte{PartialWireVersion, 0, 0} // no columns, no counters
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	return [][]byte{
+		cat(head, huge),               // #groups
+		cat(head, []byte{1}, huge),    // #keys
+		cat(head, []byte{1, 0}, huge), // #cells
+		cat(head, []byte{1, 0, 1, 0, 0, 0}, make([]byte, 8), huge),            // #SumFParts
+		cat(head, []byte{1, 0, 1, 0, 0, 0}, make([]byte, 8), []byte{0}, huge), // #Sketch
+		cat([]byte{PartialWireVersion}, huge),                                 // #columns
+		cat([]byte{PartialWireVersion, 0}, huge),                              // #counters
+	}
+}
+
+// allocatedBytes reports the bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// maxDecodeAlloc bounds what decoding n payload bytes may allocate: slabs
+// are sized by what the payload can still encode, never by a claimed count.
+func maxDecodeAlloc(n int) uint64 { return uint64(1024*n + 1<<20) }
+
+func TestDecodeHugeCountsBounded(t *testing.T) {
+	for i, data := range hugeCountPayloads() {
+		var err error
+		if got := allocatedBytes(func() { _, err = DecodePartial(data) }); got > maxDecodeAlloc(len(data)) {
+			t.Errorf("payload %d (%d bytes) allocated %d bytes", i, len(data), got)
+		}
+		if err == nil {
+			t.Errorf("payload %d decoded; want an error", i)
+		}
+	}
+}
+
+// FuzzDecodePartial feeds arbitrary bytes to the decoder: it must never
+// panic or allocate out of proportion to the payload, and whatever it
+// accepts must survive an encode/decode round trip unchanged.
+func FuzzDecodePartial(f *testing.F) {
+	f.Add(EncodePartial(samplePartial()))
+	f.Add(EncodePartial(&Partial{}))
+	for _, data := range hugeCountPayloads() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p *Partial
+		var err error
+		if got := allocatedBytes(func() { p, err = DecodePartial(data) }); got > maxDecodeAlloc(len(data)) {
+			t.Fatalf("%d-byte payload allocated %d bytes", len(data), got)
+		}
+		if err != nil {
+			return
+		}
+		enc := EncodePartial(p)
+		back, err := DecodePartial(enc)
+		if err != nil {
+			t.Fatalf("re-decoding an encoded partial: %v", err)
+		}
+		// Formatting compares NaN fields as equal, which DeepEqual would
+		// not; the re-encoding compares every bit.
+		if fmt.Sprintf("%#v", back) != fmt.Sprintf("%#v", p) || !bytes.Equal(EncodePartial(back), enc) {
+			t.Fatalf("round trip changed the partial:\n in  %#v\n out %#v", p, back)
+		}
+	})
 }

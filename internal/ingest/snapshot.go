@@ -157,21 +157,18 @@ func (s *Snapshot) Run(stmt *sql.SelectStmt) (*exec.Result, error) {
 
 // runAggregate merges per-unit partials in unit order.
 func (s *Snapshot) runAggregate(stmt *sql.SelectStmt) (*exec.Result, error) {
-	var merged *exec.Partial
-	for _, u := range s.units {
+	parts := make([]*exec.Partial, len(s.units))
+	for i, u := range s.units {
 		p, err := u.eng.RunPartial(stmt)
 		if err != nil {
 			return nil, err
 		}
-		if merged == nil {
-			merged = p
-			continue
-		}
-		if err := exec.MergePartials(merged, p); err != nil {
-			return nil, err
-		}
+		parts[i] = p
 	}
-	return exec.FinalizePartial(stmt, merged)
+	if err := exec.MergePartials(parts[0], parts[1:]...); err != nil {
+		return nil, err
+	}
+	return exec.FinalizePartial(stmt, parts[0])
 }
 
 // runRowScan concatenates per-unit projections in unit order. Each unit
